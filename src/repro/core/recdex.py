@@ -69,10 +69,11 @@ class _ClusterList:
     terminate early.
     """
 
-    __slots__ = ("center", "theta_b", "item_order", "bounds", "items_prefix", "user_rows")
+    __slots__ = ("label", "center", "theta_b", "item_order", "bounds", "items_prefix", "user_rows")
 
     def __init__(
         self,
+        label: int,
         center: np.ndarray,
         theta_b: float,
         item_order: np.ndarray,
@@ -80,6 +81,7 @@ class _ClusterList:
         items_prefix: np.ndarray,
         user_rows: np.ndarray,
     ):
+        self.label = label
         self.center = center
         self.theta_b = theta_b
         self.item_order = item_order
@@ -148,6 +150,7 @@ class RecdexIndex(Strategy):
             prefix_len = min(max(self.block, self.walk_chunk), model.n)
             clusters.append(
                 _ClusterList(
+                    label=j,
                     center=centers[j],
                     theta_b=theta_b,
                     item_order=order,
@@ -171,19 +174,19 @@ class RecdexIndex(Strategy):
             self.build()
         model = self.model
         k = min(k, model.n)
-        m = len(user_rows)
+        req = np.asarray(user_rows, dtype=np.int64)
+        m = len(req)
         out_ids = np.empty((m, k), dtype=np.int64)
         out_scores = np.empty((m, k))
-        # Position of each requested user in the output.
-        pos_of = {int(r): i for i, r in enumerate(user_rows)}
         assert self.labels is not None
-        req = np.asarray(user_rows)
+        req_labels = self.labels[req]
+        # Every output position is filled by its user's cluster, so duplicate
+        # and unsorted rows are served like any others.
         for cl in self.clusters:
-            rows = cl.user_rows[np.isin(cl.user_rows, req)]
-            if rows.size == 0:
+            out_idx = np.flatnonzero(req_labels == cl.label)
+            if out_idx.size == 0:
                 continue
-            ids, scores = self._walk_cluster(cl, rows, k)
-            out_idx = np.fromiter((pos_of[int(r)] for r in rows), dtype=np.int64)
+            ids, scores = self._walk_cluster(cl, req[out_idx], k)
             out_ids[out_idx] = ids
             out_scores[out_idx] = scores
         return TopK(ids=out_ids, scores=out_scores)

@@ -81,7 +81,6 @@ class Recopt:
         min_sample: int = 256,
         seed: int = 0,
         use_ttest: bool = True,
-        mm_user_block: int = 1024,
     ):
         """``index_factories`` maps name -> callable(model) -> Strategy.
 
@@ -99,7 +98,6 @@ class Recopt:
         self.min_sample = min_sample
         self.seed = seed
         self.use_ttest = use_ttest
-        self.mm_user_block = mm_user_block
 
     def estimate(self) -> tuple[OptimizerReport, dict[str, Strategy], dict]:
         """Phases 1–4: build, sample, measure, extrapolate — no full serve.
@@ -130,7 +128,7 @@ class Recopt:
         sample_rows = np.sort(g.choice(m, size=s, replace=False))
 
         # 3. Measure blocked MM on the sample.
-        mm = BlockedMM(model, user_block=self.mm_user_block)
+        mm = BlockedMM(model)
         t0 = time.perf_counter()
         mm_sample = mm.query(sample_rows, self.k)
         mm_time = time.perf_counter() - t0

@@ -49,32 +49,76 @@ def canonical_topk(ids: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.
     return ids[rows, order], scores[rows, order]
 
 
-def topk_with_ids(ids: np.ndarray, scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _kth_lower_bound(scores: np.ndarray, k: int) -> np.ndarray:
+    """Per row, an actual score that at least ``k`` entries of the row reach.
+
+    Only the selection's candidate count depends on how tight it is.  The
+    columns are folded in halves (elementwise max, an odd last column
+    dropped) while ``4k`` or more remain, leaving ``2k`` to ``4k`` columns
+    that are each the max of their own disjoint set of original columns;
+    the kth largest of those (by SIMD ``np.sort``) is reached by ``k``
+    distinct entries.  Rows narrower than ``4k`` are not folded, so the
+    bound is their exact kth score.
+    """
+    if k == 1:
+        return scores.max(axis=1)
+    folded = scores
+    while folded.shape[1] >= 4 * k:
+        h = folded.shape[1] // 2
+        folded = np.maximum(folded[:, :h], folded[:, h : 2 * h])
+    return np.sort(folded, axis=1)[:, folded.shape[1] - k]
+
+
+def topk_with_ids(
+    ids: np.ndarray, scores: np.ndarray, k: int, *, bound: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact canonical top-``k`` of ``scores`` labeled by ``ids``.
 
     ``scores`` is ``(m, n)``; ``ids`` is ``(n,)`` or ``(m, n)`` and gives
-    the real item id of each column.  Fast path: ``argpartition`` (the
-    NumPy analog of the paper's priority queue).  ``argpartition`` picks
-    *arbitrary* members of a tied boundary group, which would violate the
-    canonical (score desc, id asc) rule, so rows whose kth score ties
-    across the selection boundary are re-done with a full tie-aware sort
-    over real ids.  ``k`` is clamped to the column count.
+    the real item id of each column.  ``k`` is clamped to ``[0, n]``.
+
+    Threshold-first select: take a per-row lower bound on the kth score
+    (``bound``, when the caller has one, else ``_kth_lower_bound``), gather
+    only the entries at or above it into a padded ``(m, c)`` candidate
+    array, and order those.  ``bound`` must be, per row, a value that at
+    least ``k`` entries reach, so the top-``k`` is among the candidates.
+    One SIMD ``argsort`` on the scores orders the candidates; rows whose
+    first ``k + 1`` sorted scores hold a tie are redone with ``lexsort``
+    on (score desc, id asc), the canonical tie-break.  With ``k == 1`` and
+    ascending 1-D ids, the first ``argmax`` of each row is the answer.
     """
     m, n = scores.shape
-    ids2d = np.broadcast_to(ids, scores.shape) if ids.ndim == 1 else ids
-    k = min(k, n)
-    if k == n:
-        return canonical_topk(ids2d.copy(), scores.copy())
-    part = np.argpartition(-scores, k - 1, axis=1)[:, :k]
-    rows = np.arange(m)[:, None]
-    out_ids, out_sc = canonical_topk(ids2d[rows, part], scores[rows, part])
-    kth = out_sc[:, -1]
-    # A row is tie-ambiguous iff more than k entries are >= its kth score.
-    ambiguous = np.nonzero((scores >= kth[:, None]).sum(axis=1) > k)[0]
-    for r in ambiguous:
-        order = np.lexsort((ids2d[r], -scores[r]))[:k]
-        out_ids[r] = ids2d[r, order]
-        out_sc[r] = scores[r, order]
+    k = max(0, min(k, n))
+    if k == 0:
+        return np.empty((m, 0), ids.dtype), np.empty((m, 0), scores.dtype)
+    if k == 1 and bound is None and ids.ndim == 1 and np.all(ids[1:] >= ids[:-1]):
+        col = scores.argmax(axis=1)
+        return ids[col][:, None], scores[np.arange(m), col][:, None]
+    if bound is None:
+        bound = _kth_lower_bound(scores, k)
+
+    # Gather, in column order: flat index of each candidate in ``scores``
+    # and its slot in the padded candidate rows.
+    flat = np.flatnonzero(scores >= bound[:, None])
+    rows = flat // n
+    counts = np.bincount(rows, minlength=m)
+    c = max(int(counts.max(initial=0)), k)
+    slot = rows * c + np.arange(flat.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    cand_sc = np.full((m, c), -np.inf, dtype=scores.dtype)
+    cand_sc.ravel()[slot] = scores.ravel()[flat]
+    cand_ids = np.full((m, c), np.iinfo(ids.dtype).max, dtype=ids.dtype)
+    cand_ids.ravel()[slot] = ids[flat - rows * n] if ids.ndim == 1 else ids.ravel()[flat]
+
+    order = np.argsort(-cand_sc, axis=1)[:, : k + 1] + c * np.arange(m)[:, None]
+    top_sc = cand_sc.take(order)
+    out_ids = cand_ids.take(order[:, :k])
+    out_sc = top_sc[:, :k].copy()
+    tied = np.flatnonzero((top_sc[:, 1:] == top_sc[:, :-1]).any(axis=1))
+    if tied.size:
+        t_ids, t_sc = cand_ids[tied], cand_sc[tied]
+        t_order = np.lexsort((t_ids, -t_sc), axis=1)[:, :k]
+        out_ids[tied] = np.take_along_axis(t_ids, t_order, axis=1)
+        out_sc[tied] = np.take_along_axis(t_sc, t_order, axis=1)
     return out_ids, out_sc
 
 
@@ -94,8 +138,13 @@ def merge_topk(
 
     Both inputs are ``(m, *)`` with matching row counts; duplicate ids
     between the two sides are not expected (callers pass disjoint item
-    ranges).  Ties broken canonically.
+    ranges).  Ties broken canonically.  When the A side is already full
+    (``k`` or more columns, none of them ``-inf`` placeholders), its row
+    minimum is the selection's bound, so walk merges compute none.
     """
     ids = np.concatenate([ids_a, ids_b], axis=1)
     scores = np.concatenate([scores_a, scores_b], axis=1)
-    return topk_with_ids(ids, scores, k)
+    bound = scores_a.min(axis=1) if scores_a.shape[1] >= k else None
+    if bound is not None and bound.min(initial=0.0) == -np.inf:
+        bound = None
+    return topk_with_ids(ids, scores, k, bound=bound)

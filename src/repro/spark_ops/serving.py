@@ -54,7 +54,7 @@ def _emit(user_ids: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> pd.DataF
 
 
 def mm_topk(
-    spark: SparkSession, users_df: DataFrame, items: np.ndarray, k: int, *, user_block: int = 1024
+    spark: SparkSession, users_df: DataFrame, items: np.ndarray, k: int
 ) -> DataFrame:
     """Blocked-MM top-K as a data-parallel operator over the users frame."""
     items_bc = spark.sparkContext.broadcast(items)
@@ -65,7 +65,7 @@ def mm_topk(
             if len(pdf) == 0:
                 continue
             u = np.stack(pdf["features"].to_numpy())
-            ids, scores = blocked_mm_topk(u, it, k, user_block=user_block)
+            ids, scores = blocked_mm_topk(u, it, k)
             yield _emit(pdf["id"].to_numpy(), ids, scores)
 
     return users_df.mapInPandas(fn, schema=TOPK_SCHEMA)

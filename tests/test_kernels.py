@@ -1,6 +1,8 @@
 """Unit tests for repro.linalg.kernels."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.linalg.kernels import (
     angles_to,
@@ -8,6 +10,7 @@ from repro.linalg.kernels import (
     merge_topk,
     row_norms,
     topk_from_scores,
+    topk_with_ids,
 )
 
 
@@ -125,3 +128,82 @@ def test_merge_topk_k_larger_than_total():
     sc_b = np.array([[2.0]])
     ids, sc = merge_topk(ids_a, sc_a, ids_b, sc_b, 5)
     np.testing.assert_array_equal(ids, [[1, 0]])
+
+
+# --- threshold-first select against a full-lexsort reference --------------
+
+#: tie-heavy score values; -0.0 and 0.0 compare equal, so they tie too
+_SCORE_VALUES = [-np.inf, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0]
+
+
+def _reference_topk(ids2d, scores, k):
+    """Canonical top-``k`` by one full lexsort per row (score desc, id asc)."""
+    order = np.lexsort((ids2d, -scores), axis=1)[:, : max(0, min(k, scores.shape[1]))]
+    return np.take_along_axis(ids2d, order, 1), np.take_along_axis(scores, order, 1)
+
+
+def _assert_bitwise(got, want):
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[1].dtype == want[1].dtype
+    np.testing.assert_array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
+
+
+@st.composite
+def _select_case(draw):
+    """(ids, scores, k) with 1-D ascending, 1-D unsorted or 2-D ids.
+
+    ``k`` is drawn from 0, 1, n, n + 5 and from around n/4, where the select
+    switches from the exact kth score to folded row maxima, so both sides
+    of the switch (and wide rows folded several times) are covered.
+    """
+    m = draw(st.integers(0, 6))
+    n = draw(st.integers(1, 160))
+    scores = draw(hnp.arrays(np.float64, (m, n), elements=st.sampled_from(_SCORE_VALUES)))
+    k = draw(st.sampled_from([0, 1, 2, n, n + 5, max(1, n // 4 - 1), max(1, n // 4), n // 4 + 1, n // 16 + 1]))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["ascending", "unsorted", "2d"]))
+    if kind == "ascending":
+        ids = np.sort(g.choice(10 * n, size=n, replace=False))
+    elif kind == "unsorted":
+        ids = g.permutation(n) + 7
+    else:
+        ids = np.array([g.permutation(n) for _ in range(m)], dtype=np.int64).reshape(m, n)
+    return ids, scores, k
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_select_case())
+def test_topk_with_ids_matches_full_lexsort(case):
+    ids, scores, k = case
+    _assert_bitwise(topk_with_ids(ids, scores, k), _reference_topk(np.broadcast_to(ids, scores.shape), scores, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_select_case())
+def test_topk_from_scores_matches_full_lexsort(case):
+    _, scores, k = case
+    ids = np.arange(scores.shape[1])
+    _assert_bitwise(topk_from_scores(scores, k), _reference_topk(np.broadcast_to(ids, scores.shape), scores, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_select_case(), split=st.floats(0.0, 1.0), placeholders=st.booleans())
+def test_merge_topk_matches_full_lexsort(case, split, placeholders):
+    """A side: LEMP's negative-id ``-inf`` placeholders, or the exact top-k
+    of a prefix (RECDEX's walk); B side: the remaining columns."""
+    ids, scores, k = case
+    m, n = scores.shape
+    ids2d = np.broadcast_to(ids, scores.shape)
+    a = int(round(split * n))
+    k = max(1, min(k, n))
+    if placeholders:
+        ids_a = -np.ones((m, k), dtype=np.int64) - np.arange(k)[None, :]
+        sc_a = np.full((m, k), -np.inf)
+        ids_b, sc_b = ids2d, scores
+    else:
+        ids_a, sc_a = _reference_topk(ids2d[:, :a], scores[:, :a], k)
+        ids_b, sc_b = ids2d[:, a:], scores[:, a:]
+    got = merge_topk(ids_a, sc_a, ids_b, sc_b, k)
+    all_ids = np.concatenate([ids_a, ids_b], axis=1)
+    all_sc = np.concatenate([sc_a, sc_b], axis=1)
+    _assert_bitwise(got, _reference_topk(all_ids, all_sc, k))

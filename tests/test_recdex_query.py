@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.recdex import RecdexIndex
+from repro.experiments.grid import reference_grid
 from repro.indexes.brute_force import BlockedMM
 from repro.mf.models import concentration_model, tiny_model
 from repro.validate import assert_valid_topk
@@ -47,6 +48,19 @@ def test_shuffled_user_rows(model):
     res = idx.query(rows, 3)
     full = idx.query_all(3)
     np.testing.assert_allclose(res.scores, full.scores[rows])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[3, 3, 5], [5, 3, 3], [7, 1, 7, 1, 7], [40, 2, 19, 2, 0, 40]],
+)
+def test_duplicate_and_unsorted_rows_match_brute_force(rows):
+    grid_model = reference_grid(scale=0.1)[0]
+    rows = np.array(rows)
+    got = RecdexIndex(grid_model).query(rows, 5)
+    ref = BlockedMM(grid_model).query(rows, 5)
+    np.testing.assert_array_equal(got.ids, ref.ids)
+    np.testing.assert_allclose(got.scores, ref.scores, atol=1e-9)
 
 
 def test_more_clusters_than_users():
