@@ -4,8 +4,8 @@ The paper uses Intel MKL GEMM over user batches plus a C++ priority queue
 for top-K extraction.  Here the per-block GEMM is NumPy's BLAS ``@`` and
 the priority queue is the shared threshold-first select
 (``repro.linalg.kernels.topk_with_ids``): a per-user lower bound on the
-kth score from folded row maxima, then an ordered pass over only the
-scores at or above it, so extraction costs about one read of the block.
+kth score from folded row maxima, then a sort of only the scores at or
+above it.
 Blocking over users bounds the dense score matrix to
 ``user_block × n_items`` doubles, mirroring the paper's "batches that each
 occupy the entirety of memory" at container scale.
