@@ -43,6 +43,7 @@ from repro.mf.models import MFModel
 DEFAULT_CLUSTERS = 8  # paper: C=8
 DEFAULT_BLOCK = 4096  # paper: B=4096
 _WALK_CHUNK = 64  # vectorized chunk size for the post-prefix walk
+KMEANS_ITERS = 10  # Lloyd iterations of the user clustering
 
 
 def cbound(theta_ic: np.ndarray, item_norms: np.ndarray, theta_b: float) -> np.ndarray:
@@ -69,25 +70,19 @@ class _ClusterList:
     terminate early.
     """
 
-    __slots__ = ("label", "center", "theta_b", "item_order", "bounds", "items_prefix", "user_rows")
+    __slots__ = ("label", "item_order", "bounds", "items_prefix")
 
     def __init__(
         self,
         label: int,
-        center: np.ndarray,
-        theta_b: float,
         item_order: np.ndarray,
         bounds: np.ndarray,
         items_prefix: np.ndarray,
-        user_rows: np.ndarray,
     ):
         self.label = label
-        self.center = center
-        self.theta_b = theta_b
         self.item_order = item_order
         self.bounds = bounds
         self.items_prefix = items_prefix
-        self.user_rows = user_rows
 
 
 class RecdexIndex(Strategy):
@@ -104,7 +99,6 @@ class RecdexIndex(Strategy):
         block: int = DEFAULT_BLOCK,
         shared: bool = True,
         walk_chunk: int = _WALK_CHUNK,
-        kmeans_iters: int = 10,
         seed: int = 0,
     ):
         super().__init__(model)
@@ -112,7 +106,6 @@ class RecdexIndex(Strategy):
         self.block = max(1, block)
         self.shared = shared
         self.walk_chunk = max(1, walk_chunk)
-        self.kmeans_iters = kmeans_iters
         self.seed = seed
         self.clusters: list[_ClusterList] = []
         self.labels: np.ndarray | None = None
@@ -127,9 +120,7 @@ class RecdexIndex(Strategy):
             return
         model = self.model
         t0 = time.perf_counter()
-        labels, centers = kmeans(
-            model.users, self.n_clusters, n_iters=self.kmeans_iters, seed=self.seed
-        )
+        labels, centers = kmeans(model.users, self.n_clusters, n_iters=KMEANS_ITERS, seed=self.seed)
         t1 = time.perf_counter()
         item_norms = row_norms(model.items)
         clusters: list[_ClusterList] = []
@@ -151,12 +142,9 @@ class RecdexIndex(Strategy):
             clusters.append(
                 _ClusterList(
                     label=j,
-                    center=centers[j],
-                    theta_b=theta_b,
                     item_order=order,
                     bounds=bounds[order],
                     items_prefix=model.items[order[:prefix_len]],
-                    user_rows=user_rows,
                 )
             )
         self.labels = labels

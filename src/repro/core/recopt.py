@@ -16,9 +16,8 @@ Implements Section 4:
    minimum, serve the remaining users with the winner, and reuse the
    sample's results.
 
-The T-test uses the normal approximation to the t distribution (sample
-sizes are ≥ 30 by construction), via ``statistics.NormalDist`` — scipy is
-not a dependency of this reproduction.
+The T-test uses the normal approximation to the t distribution, via
+``statistics.NormalDist`` — scipy is not a dependency of this reproduction.
 """
 from __future__ import annotations
 
@@ -80,7 +79,6 @@ class Recopt:
         sample_frac: float = 0.01,
         min_sample: int = 256,
         seed: int = 0,
-        use_ttest: bool = True,
     ):
         """``index_factories`` maps name -> callable(model) -> Strategy.
 
@@ -97,69 +95,55 @@ class Recopt:
         self.sample_frac = sample_frac
         self.min_sample = min_sample
         self.seed = seed
-        self.use_ttest = use_ttest
 
-    def estimate(self) -> tuple[OptimizerReport, dict[str, Strategy], dict]:
+    def _sample_rows(self) -> np.ndarray:
+        """The sorted user sample; the same rows on every call (seeded)."""
+        m = self.model.m
+        s = min(m, max(self.min_sample, int(np.ceil(self.sample_frac * m))))
+        return np.sort(np.random.default_rng(self.seed).choice(m, size=s, replace=False))
+
+    def estimate(self) -> tuple[OptimizerReport, Strategy, TopK]:
         """Phases 1–4: build, sample, measure, extrapolate — no full serve.
 
-        Returns the report (``serve_seconds`` = 0), the built strategies
-        (including ``"mm"``), and the sampled artifacts needed to reuse
-        sample results (``covered`` row arrays and partial ``TopK``s per
-        strategy).  ``run`` completes the serve; the Spark optimizer
-        instead dispatches a distributed operator for the winner.
+        Returns the report (``serve_seconds`` = 0), the winning strategy
+        (a ``BlockedMM`` when ``"mm"`` wins) and the winner's answer for
+        the sample users it was measured on, which are always
+        ``sample_rows[:report.sample_users_measured[report.chosen]]``.
+        ``run`` completes the serve; the Spark optimizer instead dispatches
+        a distributed operator for the winner.
         """
         model = self.model
-        m = model.m
-        g = np.random.default_rng(self.seed)
         t_opt0 = time.perf_counter()
 
         # 1. Build every candidate index (timed individually).
-        indexes: dict[str, Strategy] = {}
+        strategies: dict[str, Strategy] = {}
         build_times: dict[str, float] = {}
         for name, factory in self.index_factories.items():
             t0 = time.perf_counter()
             idx = factory(model)
             idx.build()
             build_times[name] = time.perf_counter() - t0
-            indexes[name] = idx
+            strategies[name] = idx
 
         # 2. Sample users.
-        s = min(m, max(self.min_sample, int(np.ceil(self.sample_frac * m))))
-        sample_rows = np.sort(g.choice(m, size=s, replace=False))
+        sample_rows = self._sample_rows()
+        s = len(sample_rows)
 
-        # 3. Measure blocked MM on the sample.
+        # 3. Measure blocked MM, then each index, on the sample.
         mm = BlockedMM(model)
-        t0 = time.perf_counter()
-        mm_sample = mm.query(sample_rows, self.k)
-        mm_time = time.perf_counter() - t0
-        mm_per_user = mm_time / s
-
-        est_totals = {"mm": mm_per_user * m}
-        measured: dict[str, int] = {"mm": s}
+        mm_per_user, mm_answer = self._measure(mm, sample_rows, mm_per_user=None)
+        est_totals = {"mm": mm_per_user * model.m}
+        measured = {"mm": s}
+        answers = {"mm": mm_answer}
         ttest_stopped: dict[str, bool] = {}
-        sample_results: dict[str, TopK | None] = {"mm": mm_sample}
-        sample_covered: dict[str, np.ndarray] = {"mm": sample_rows}
-
-        # 4. Measure each index on the sample.
-        for name, idx in indexes.items():
-            if not idx.batching and self.use_ttest:
-                per_user, covered, partial = self._measure_point(idx, sample_rows, mm_per_user)
-                est_totals[name] = build_times[name] + per_user * m
-                measured[name] = len(covered)
-                ttest_stopped[name] = len(covered) < s
-                sample_results[name] = partial
-                sample_covered[name] = covered
-            else:
-                t0 = time.perf_counter()
-                res = idx.query(sample_rows, self.k)
-                dt = time.perf_counter() - t0
-                est_totals[name] = build_times[name] + (dt / s) * m
-                measured[name] = s
-                ttest_stopped[name] = False
-                sample_results[name] = res
-                sample_covered[name] = sample_rows
+        for name, idx in strategies.items():
+            per_user, answers[name] = self._measure(idx, sample_rows, mm_per_user)
+            est_totals[name] = build_times[name] + per_user * model.m
+            measured[name] = len(answers[name].ids)
+            ttest_stopped[name] = measured[name] < s
         optimize_seconds = time.perf_counter() - t_opt0
 
+        # 4. Pick the minimum extrapolated total.
         chosen = min(est_totals, key=est_totals.get)  # type: ignore[arg-type]
         report = OptimizerReport(
             chosen=chosen,
@@ -171,52 +155,57 @@ class Recopt:
             serve_seconds=0.0,
             ttest_stopped=ttest_stopped,
         )
-        strategies: dict[str, Strategy] = {"mm": mm, **indexes}
-        artifacts = {"covered": sample_covered, "results": sample_results}
-        return report, strategies, artifacts
+        winner = mm if chosen == "mm" else strategies[chosen]
+        return report, winner, answers[chosen]
+
+    def _measure(
+        self, strategy: Strategy, sample_rows: np.ndarray, mm_per_user: float | None
+    ) -> tuple[float, TopK]:
+        """Time ``strategy`` on the sample: seconds per user, and its answer.
+
+        A batching strategy answers the whole sample in one call.  A point
+        strategy answers one user per call; from ``_MIN_TTEST_USERS`` users
+        on, every 4th user, a T-test against MM's per-user mean may stop it
+        early, so its answer covers only a prefix of the sample.
+        """
+        chunk = len(sample_rows) if strategy.batching else 1
+        times: list[float] = []
+        parts: list[TopK] = []
+        used = 0
+        while used < len(sample_rows):
+            rows = sample_rows[used : used + chunk]
+            t0 = time.perf_counter()
+            parts.append(strategy.query(rows, self.k))
+            times.append(time.perf_counter() - t0)
+            used += len(rows)
+            if (
+                chunk == 1
+                and used >= _MIN_TTEST_USERS
+                and used % 4 == 0
+                and _ttest_p(np.array(times), mm_per_user) < _TTEST_ALPHA
+            ):
+                break
+        answer = TopK(
+            ids=np.vstack([p.ids for p in parts]),
+            scores=np.vstack([p.scores for p in parts]),
+        )
+        return sum(times) / used, answer
 
     def run(self) -> tuple[TopK, OptimizerReport]:
-        report, strategies, artifacts = self.estimate()
-        model = self.model
-        m = model.m
-        chosen = report.chosen
+        report, winner, sample_answer = self.estimate()
+        m = self.model.m
 
-        # 5. Serve the rest with the winner; reuse sampled results.
-        winner: Strategy = strategies[chosen]
+        # 5. Serve the rest with the winner; reuse its sample answer.
         t0 = time.perf_counter()
-        covered = artifacts["covered"][chosen]
-        covered_res = artifacts["results"][chosen]
-        remaining = np.setdiff1d(np.arange(m), covered, assume_unique=False)
-        out_ids = np.empty((m, min(self.k, model.n)), dtype=np.int64)
-        out_scores = np.empty_like(out_ids, dtype=np.float64)
-        if covered_res is not None and len(covered):
-            out_ids[covered] = covered_res.ids
-            out_scores[covered] = covered_res.scores
+        covered = self._sample_rows()[: report.sample_users_measured[report.chosen]]
+        remaining = np.setdiff1d(np.arange(m), covered, assume_unique=True)
+        out_ids = np.empty((m, sample_answer.ids.shape[1]), dtype=np.int64)
+        out_scores = np.empty(out_ids.shape, dtype=np.float64)
+        out_ids[covered] = sample_answer.ids
+        out_scores[covered] = sample_answer.scores
         if len(remaining):
             rest = winner.query(remaining, self.k)
             out_ids[remaining] = rest.ids
             out_scores[remaining] = rest.scores
         report.serve_seconds = time.perf_counter() - t0
         return TopK(ids=out_ids, scores=out_scores), report
-
-    def _measure_point(
-        self, idx: Strategy, sample_rows: np.ndarray, mm_per_user: float
-    ) -> tuple[float, np.ndarray, TopK]:
-        """Per-user timing of a point-query index with T-test early stop."""
-        times: list[float] = []
-        ids_parts: list[np.ndarray] = []
-        sc_parts: list[np.ndarray] = []
-        used = 0
-        for r in sample_rows:
-            t0 = time.perf_counter()
-            res = idx.query(np.array([r]), self.k)
-            times.append(time.perf_counter() - t0)
-            ids_parts.append(res.ids)
-            sc_parts.append(res.scores)
-            used += 1
-            if used >= _MIN_TTEST_USERS and used % 4 == 0:
-                if _ttest_p(np.array(times), mm_per_user) < _TTEST_ALPHA:
-                    break
-        covered = sample_rows[:used]
-        partial = TopK(ids=np.vstack(ids_parts), scores=np.vstack(sc_parts))
-        return float(np.mean(times)), covered, partial

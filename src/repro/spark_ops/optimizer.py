@@ -25,28 +25,20 @@ def recopt_serve(
     index_factories: dict[str, Callable[[MFModel], Strategy]],
     *,
     k: int,
-    sample_frac: float = 0.01,
-    min_sample: int = 128,
-    seed: int = 0,
+    **recopt_kwargs,
 ) -> tuple[DataFrame, OptimizerReport]:
     """Choose a strategy via sampled timing, then serve ``users_df`` with it.
 
-    Returns the (lazy) top-K DataFrame and the optimizer report.  The
-    sample's results are *not* reused here — unlike the single-node path,
-    re-serving the sampled users distributes along with everyone else and
-    keeps the output a single clean DataFrame lineage.
+    ``recopt_kwargs`` (``sample_frac``, ``min_sample``, ``seed``) go to
+    ``Recopt`` unchanged, so both paths share its defaults.  Returns the
+    (lazy) top-K DataFrame and the optimizer report.  The winner's sample
+    answer is *not* reused here — unlike the single-node path, re-serving
+    the sampled users distributes along with everyone else and keeps the
+    output a single clean DataFrame lineage.
     """
-    opt = Recopt(
-        model,
-        index_factories,
-        k=k,
-        sample_frac=sample_frac,
-        min_sample=min_sample,
-        seed=seed,
-    )
-    report, strategies, _ = opt.estimate()
+    report, winner, _ = Recopt(model, index_factories, k=k, **recopt_kwargs).estimate()
     if report.chosen == "mm":
         out = mm_topk(spark, users_df, model.items, k)
     else:
-        out = index_topk(spark, users_df, strategies[report.chosen], k)
+        out = index_topk(spark, users_df, winner, k)
     return out, report

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.kmeans import kmeans
-from repro.core.recdex import RecdexIndex, cbound
-from repro.linalg.kernels import angles_to
+from repro.core.recdex import KMEANS_ITERS, RecdexIndex, cbound
+from repro.linalg.kernels import angles_to, row_norms
 from repro.mf.models import tiny_model
 
 
@@ -92,16 +92,28 @@ def test_cluster_lists_cover_all_items(built_index):
 
 
 def test_theta_b_covers_all_members(built_index):
-    """θ_b must be ≥ every member's angle to the centroid."""
+    """θ_b must be ≥ every member's angle to the centroid.
+
+    The index keeps only the bounds, so the centroids come from replaying
+    the seeded k-means.  cbound is nondecreasing in θ_b, so a θ_b that
+    covers every member gives bounds at least cbound at the members'
+    widest angle.
+    """
     model, idx = built_index
+    labels, centers = kmeans(model.users, 5, n_iters=KMEANS_ITERS, seed=0)
+    np.testing.assert_array_equal(labels, idx.labels)
+    norms = row_norms(model.items)
     for cl in idx.clusters:
-        member_angles = angles_to(model.users[cl.user_rows], cl.center)
-        assert member_angles.max() <= cl.theta_b + 1e-12
+        center = centers[cl.label]
+        widest = float(angles_to(model.users[labels == cl.label], center).max())
+        theta_ic = angles_to(model.items, center)
+        want = cbound(theta_ic, norms, widest)[cl.item_order]
+        assert np.all(cl.bounds >= want - 1e-12)
 
 
 def test_clusters_partition_users(built_index):
     model, idx = built_index
-    all_rows = np.concatenate([cl.user_rows for cl in idx.clusters])
+    all_rows = np.concatenate([np.flatnonzero(idx.labels == cl.label) for cl in idx.clusters])
     assert sorted(all_rows.tolist()) == list(range(model.m))
 
 
@@ -109,7 +121,7 @@ def test_bounds_dominate_member_normalized_scores(built_index):
     """End-to-end Lemma 5.1 on a real built index."""
     model, idx = built_index
     for cl in idx.clusters:
-        users = model.users[cl.user_rows]
+        users = model.users[idx.labels == cl.label]
         norms = np.linalg.norm(users, axis=1, keepdims=True)
         normalized = (users @ model.items[cl.item_order].T) / np.maximum(norms, 1e-12)
         assert np.all(normalized <= cl.bounds[None, :] + 1e-9)

@@ -95,7 +95,6 @@ def test_point_index_uses_ttest(model):
         k=3,
         min_sample=64,
         seed=4,
-        use_ttest=True,
     ).run()
     assert "fexipro-si" in report.ttest_stopped
     assert report.sample_users_measured["fexipro-si"] <= report.sample_size
@@ -161,6 +160,42 @@ def test_choice_prefers_instant_index(model):
     ).run()
     assert report.chosen == "instant"
     assert_valid_topk(model, res, 3)
+
+
+def test_point_winner_stopped_early_reuses_partial_sample():
+    """A point-query winner that the T-test stopped serves only the rest.
+
+    The index answers from a cache built outside RECOPT's timed path, so
+    per user it is several times faster than MM on this wide model: the
+    T-test stops it partway through the sample and it wins.  ``run`` must
+    place its partial sample answer and the rest at the right rows.
+    """
+    wide = tiny_model(m=300, n=8000, f=32, seed=13)
+
+    class InstantPointIndex(Strategy):
+        name = "instant-point"
+        batching = False
+
+        def build(self):
+            if not self.built:
+                self._cache = BlockedMM(self.model).query_all(3)
+                self.built = True
+
+        def query(self, user_rows, k):
+            return TopK(
+                ids=self._cache.ids[user_rows, :k],
+                scores=self._cache.scores[user_rows, :k],
+            )
+
+    prebuilt = InstantPointIndex(wide)
+    prebuilt.build()
+    res, report = Recopt(
+        wide, {"instant-point": lambda m: prebuilt}, k=3, min_sample=64, seed=14
+    ).run()
+    assert report.sample_users_measured[report.chosen] < report.sample_size
+    want = BlockedMM(wide).query_all(3)
+    np.testing.assert_array_equal(res.ids, want.ids)
+    np.testing.assert_array_equal(res.scores, want.scores)
 
 
 def test_deterministic_sample_in_seed(model):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.recdex import RecdexIndex
+from repro.core.recopt import Recopt
 from repro.indexes.lemp import LempIndex
 from repro.mf.models import MFModel
 from repro.oracle import assert_equivalent
@@ -55,3 +56,18 @@ def test_recopt_serve_three_way_report(spark, model):
     )
     assert set(report.est_totals) == {"mm", "recdex", "lemp"}
     assert out.count() == model.m * 2
+
+
+def test_recopt_serve_uses_recopt_sample_default(spark):
+    """Without ``min_sample`` the Spark path samples as many users as ``Recopt``."""
+    g = np.random.default_rng(4)
+    model = MFModel(
+        name="int-opt-400",
+        users=g.integers(-4, 5, size=(400, 5)).astype(np.float64),
+        items=g.integers(-4, 5, size=(25, 5)).astype(np.float64),
+    )
+    factories = {"lemp": lambda m: LempIndex(m, bucket_size=8)}
+    users_df = model_to_user_df(spark, model, n_partitions=2)
+    _, report = recopt_serve(spark, users_df, model, factories, k=2)
+    want, *_ = Recopt(model, factories, k=2).estimate()
+    assert report.sample_size == want.sample_size
