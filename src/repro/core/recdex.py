@@ -9,12 +9,13 @@ Construction (Algorithm 1, ``ConstructIndex``):
 4. sort each cluster's items by r*_ci descending — the index.
 
 Querying (Algorithm 1, ``QueryIndex``) walks a user's cluster list,
-stopping when r*_ci < (kth-best u·i)/‖u‖ (Lemma 5.1 guarantees r* upper
+stopping when ‖u‖·r*_ci < kth-best u·i (Lemma 5.1 guarantees r* upper
 bounds the ‖u‖-normalized score, so nothing past the stop can enter the
 top-K).  Note Algorithm 1 in the paper compares the raw heap min against
-CBound; the bound is on the *normalized* score, so we divide by ‖u‖ —
-without it the walk would terminate early for users with ‖u‖ > 1 and the
-result would not be exact.
+CBound; the bound is on the *normalized* score, so we scale it by ‖u‖ —
+without that the walk would terminate early for users with ‖u‖ > 1 and the
+result would not be exact.  The walk is ``repro.linalg.kernels.bound_walk``,
+which LEMP-lite also takes over its norm-sorted list.
 
 Hardware-efficient execution (Section 5.4): the first ``B`` items of each
 walk are shared across all of the cluster's users as one blocked matrix
@@ -31,13 +32,9 @@ import numpy as np
 
 from repro.core.kmeans import kmeans
 from repro.indexes.base import Strategy, TopK
-from repro.linalg.kernels import (
-    angles_to,
-    canonical_topk,
-    merge_topk,
-    row_norms,
-    topk_with_ids,
-)
+from repro.linalg.kernels import angles_to, bound_walk, row_norms
+# Unused here; the benchmark tracer (mipsbench/tracing.py) patches these names.
+from repro.linalg.kernels import merge_topk, topk_with_ids  # noqa: F401
 from repro.mf.models import MFModel
 
 DEFAULT_CLUSTERS = 8  # paper: C=8
@@ -161,86 +158,33 @@ class RecdexIndex(Strategy):
         if not self.built:
             self.build()
         model = self.model
-        k = min(k, model.n)
+        k = max(0, min(k, model.n))
         req = np.asarray(user_rows, dtype=np.int64)
         m = len(req)
         out_ids = np.empty((m, k), dtype=np.int64)
         out_scores = np.empty((m, k))
         assert self.labels is not None
         req_labels = self.labels[req]
+        # The lesion walks each user alone, with a chunk-sized prefix.
+        prefix = self.block if self.shared else self.walk_chunk
         # Every output position is filled by its user's cluster, so duplicate
         # and unsorted rows are served like any others.
         for cl in self.clusters:
             out_idx = np.flatnonzero(req_labels == cl.label)
             if out_idx.size == 0:
                 continue
-            ids, scores = self._walk_cluster(cl, req[out_idx], k)
-            out_ids[out_idx] = ids
-            out_scores[out_idx] = scores
+            for walk_idx in [out_idx] if self.shared else out_idx[:, None]:
+                ids, scores, visited = bound_walk(
+                    model.users[req[walk_idx]],
+                    model.items,
+                    cl.item_order,
+                    cl.bounds,
+                    k,
+                    head=cl.items_prefix,
+                    prefix=prefix,
+                    chunk=self.walk_chunk,
+                )
+                out_ids[walk_idx] = ids
+                out_scores[walk_idx] = scores
+                self.items_visited += visited
         return TopK(ids=out_ids, scores=out_scores)
-
-    def _walk_cluster(
-        self, cl: _ClusterList, rows: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        users = self.model.users[rows]
-        if self.shared:
-            return self._walk_shared(cl, users, k)
-        mc = len(rows)
-        ids = np.empty((mc, k), dtype=np.int64)
-        scores = np.empty((mc, k))
-        for i in range(mc):
-            a, b = self._walk_shared(cl, users[i : i + 1], k)
-            ids[i], scores[i] = a[0], b[0]
-        return ids, scores
-
-    def _sorted_items(self, cl: _ClusterList, start: int, stop: int) -> np.ndarray:
-        """Rows [start, stop) of the cluster's bound-sorted item list."""
-        if stop <= cl.items_prefix.shape[0]:
-            return cl.items_prefix[start:stop]
-        return self.model.items.take(cl.item_order[start:stop], axis=0)
-
-    def _walk_shared(
-        self, cl: _ClusterList, users: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Blocked walk: shared prefix GEMM, then chunked early-terminating walk."""
-        n = len(cl.item_order)
-        mc = users.shape[0]
-        u_norms = row_norms(users)
-        # Users with zero norm score 0 on everything; never prune for them
-        # (division guard) — their top-K is the k smallest item ids, which
-        # the canonical tie-break produces by visiting everything.
-        inv_norms = np.where(u_norms > 0, 1.0 / np.maximum(u_norms, 1e-300), np.inf)
-
-        # The prefix must cover at least k items so the heap is full before
-        # any pruning decision is made.
-        b0 = min(max(self.block if self.shared else self.walk_chunk, k), n)
-        scores0 = users @ self._sorted_items(cl, 0, b0).T
-        top_ids, top_scores = topk_with_ids(cl.item_order[:b0], scores0, k)
-        self.items_visited += mc * b0
-        kth_norm = top_scores[:, -1] * np.where(np.isinf(inv_norms), 0.0, inv_norms)
-        kth_norm = np.where(u_norms > 0, kth_norm, -np.inf)
-
-        active = np.arange(mc)
-        pos = b0
-        while pos < n and active.size:
-            # Termination: the chunk's first bound is its max (lists are
-            # sorted descending); a user whose normalized kth beat it is done.
-            chunk_max = cl.bounds[pos]
-            keep = cl.bounds[pos] >= kth_norm[active] if np.isfinite(chunk_max) else np.ones(len(active), bool)
-            active = active[keep]
-            if active.size == 0:
-                break
-            stop = min(pos + self.walk_chunk, n)
-            chunk_scores = users[active] @ self._sorted_items(cl, pos, stop).T
-            chunk_ids = np.broadcast_to(cl.item_order[pos:stop], chunk_scores.shape)
-            ids_new, sc_new = merge_topk(
-                top_ids[active], top_scores[active], chunk_ids, chunk_scores, k
-            )
-            top_ids[active] = ids_new
-            top_scores[active] = sc_new
-            kth_norm[active] = np.where(
-                u_norms[active] > 0, sc_new[:, -1] / np.maximum(u_norms[active], 1e-300), -np.inf
-            )
-            self.items_visited += active.size * (stop - pos)
-            pos += self.walk_chunk
-        return canonical_topk(top_ids, top_scores)

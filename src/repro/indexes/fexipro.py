@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.indexes.base import Strategy, TopK
-from repro.linalg.kernels import canonical_topk, row_norms
+from repro.linalg.kernels import row_norms, topk_with_ids
 from repro.mf.models import MFModel
 
 _QUANT_MAX = 127.0  # int8-style range, as in the paper
@@ -117,7 +117,7 @@ class FexiproIndex(Strategy):
         # Seed threshold with exact original-space scores of the first kk
         # (largest-norm) items.
         seed_scores = self.orig_sorted[:kk] @ u
-        if kk < n:
+        if 0 < kk < n:
             thresh = seed_scores.min()  # kth-best of the kk seed items
             # Integer upper bound on the partial product (first h dims).
             amax_u = np.abs(u_lead).max(initial=0.0)
@@ -140,16 +140,13 @@ class FexiproIndex(Strategy):
         else:
             all_pos = np.arange(kk)
             all_scores = seed_scores
-        ids = self.order[all_pos]
-        # Tie-safe selection: canonical order (score desc, id asc), then
-        # keep the first kk.  Candidate sets are small, full sort is fine.
-        ids2, sc2 = canonical_topk(ids[None, :], all_scores[None, :])
-        return ids2[0, :kk], sc2[0, :kk]
+        ids, scores = topk_with_ids(self.order[all_pos][None, :], all_scores[None, :], kk)
+        return ids[0], scores[0]
 
     def query(self, user_rows: np.ndarray, k: int) -> TopK:
         if not self.built:
             self.build()
-        k = min(k, self.model.n)
+        k = max(0, min(k, self.model.n))
         m = len(user_rows)
         out_ids = np.empty((m, k), dtype=np.int64)
         out_scores = np.empty((m, k))

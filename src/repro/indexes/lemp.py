@@ -1,14 +1,15 @@
-"""LEMP-lite: norm-bucketed exact MIPS with incremental pruning.
+"""LEMP-lite: norm-sorted exact MIPS with incremental pruning.
 
 Faithful to the structure of Teflioudi et al.'s LEMP-LI (SIGMOD'15):
 
-* items are sorted by L2 norm (descending) and chopped into buckets of
-  roughly equal size (the paper sizes buckets to L3 cache; ours are a
-  fixed item count, the analog at NumPy-kernel granularity);
-* per user, the walk over buckets terminates as soon as
-  ``‖u‖ · max_norm(bucket) < kth-best score`` — later buckets only have
+* items are sorted by L2 norm (descending) into one list, walked in
+  buckets of roughly equal size (the paper sizes buckets to L3 cache;
+  ours are a fixed item count, the analog at NumPy-kernel granularity);
+* per user, the walk terminates as soon as ``‖u‖ · ‖i‖ < kth-best score``
+  for the next bucket's largest norm ``‖i‖`` — later buckets only have
   smaller norms, so no remaining item can enter the top-K (the "L"
-  length-based pruning);
+  length-based pruning).  This is ``repro.linalg.kernels.bound_walk`` with
+  the item norms as bounds, the same walk RECDEX takes with its CBound;
 * inside a bucket, candidates are screened with partial inner products
   over the first ``h`` dimensions plus a Cauchy–Schwarz bound on the
   residual (the "I" incremental pruning); survivors get exact dots.
@@ -16,33 +17,25 @@ Faithful to the structure of Teflioudi et al.'s LEMP-LI (SIGMOD'15):
 The strategy is *batched* over users (LEMP optimizes the batch setting),
 so all per-bucket work is vectorized across the still-active users.
 
-All pruning uses strict ``<`` against the current kth score and ``>=``
-for candidate retention, so exact ties are never pruned — the canonical
-(score desc, id asc) tie-break is preserved.
+Exact ties are never pruned: both the termination test and the screen
+keep a bound that may tie the current kth score within a relative slack
+for rounding (``may_reach``), so the canonical (score desc, id asc)
+tie-break is preserved.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from repro.indexes.base import Strategy, TopK
-from repro.linalg.kernels import canonical_topk, merge_topk, row_norms
+from repro.linalg.kernels import bound_walk, may_reach, row_norms
+# Unused here; the benchmark tracer (mipsbench/tracing.py) patches this name.
+from repro.linalg.kernels import merge_topk  # noqa: F401
 from repro.mf.models import MFModel
 
 DEFAULT_BUCKET_SIZE = 256
 # Fraction of surviving candidates above which a full bucket GEMM is
 # cheaper than gathering scattered pairs.
 _DENSE_FALLBACK_FRAC = 0.5
-
-
-class _Bucket:
-    __slots__ = ("ids", "mat", "max_norm", "partial", "res_norms")
-
-    def __init__(self, ids: np.ndarray, mat: np.ndarray, h: int):
-        self.ids = ids
-        self.mat = mat
-        self.max_norm = float(row_norms(mat).max(initial=0.0))
-        self.partial = mat[:, :h]
-        self.res_norms = row_norms(mat[:, h:])
 
 
 class LempIndex(Strategy):
@@ -62,67 +55,52 @@ class LempIndex(Strategy):
         self.bucket_size = max(1, bucket_size)
         # Partial-product dims for incremental pruning; default half the rank.
         self.h = min(model.f, incr_dims if incr_dims is not None else max(1, model.f // 2))
-        self.buckets: list[_Bucket] = []
 
     def build(self) -> None:
         if self.built:
             return
         items = self.model.items
-        order = np.argsort(-row_norms(items), kind="stable")
-        for start in range(0, len(order), self.bucket_size):
-            sel = order[start : start + self.bucket_size]
-            self.buckets.append(_Bucket(sel, items[sel], self.h))
+        norms = row_norms(items)
+        #: item ids by descending norm, and the list's norms, rows and split dims
+        self.order = np.argsort(-norms, kind="stable")
+        self.norms = norms[self.order]
+        self.sorted_items = items[self.order]
+        self.partial = self.sorted_items[:, : self.h]
+        self.res_norms = row_norms(self.sorted_items[:, self.h :])
         self.built = True
 
     def query(self, user_rows: np.ndarray, k: int) -> TopK:
         if not self.built:
             self.build()
         users = self.model.users[user_rows]
-        m = users.shape[0]
-        k = min(k, self.model.n)
-        u_norms = row_norms(users)
         u_partial = users[:, : self.h]
         u_res_norms = row_norms(users[:, self.h :])
 
-        # Top-K state: placeholder negative ids with -inf scores lose to any
-        # real item under the canonical ordering.
-        top_ids = -np.ones((m, k), dtype=np.int64) - np.arange(k)[None, :]
-        top_scores = np.full((m, k), -np.inf)
-        kth = np.full(m, -np.inf)
-        active = np.arange(m)
-
-        for bucket in self.buckets:
-            if active.size == 0:
-                break
-            # Length-based termination: ‖u‖·max_norm is an upper bound on
-            # every score in this and all later buckets.
-            bound = u_norms[active] * bucket.max_norm
-            keep = bound >= kth[active]
-            active = active[keep]
-            if active.size == 0:
-                break
-            ua = active
+        def screen(active, start, stop, kth):
             # Incremental pruning: partial dot + Cauchy–Schwarz residual.
-            part = u_partial[ua] @ bucket.partial.T
-            ub = part + np.outer(u_res_norms[ua], bucket.res_norms)
-            cand = ub >= kth[ua][:, None]
-            frac = cand.mean() if cand.size else 0.0
-            if frac >= _DENSE_FALLBACK_FRAC or self.h >= self.model.f:
-                scores = users[ua] @ bucket.mat.T
-            else:
-                scores = np.full(cand.shape, -np.inf)
-                rows, cols = np.nonzero(cand)
-                if rows.size:
-                    scores[rows, cols] = np.einsum(
-                        "ij,ij->i", users[ua][rows], bucket.mat[cols]
-                    )
-            bucket_ids = np.broadcast_to(bucket.ids, scores.shape)
-            ids_new, sc_new = merge_topk(
-                top_ids[ua], top_scores[ua], bucket_ids, scores, k
+            ub = u_partial[active] @ self.partial[start:stop].T + np.outer(
+                u_res_norms[active], self.res_norms[start:stop]
             )
-            top_ids[ua] = ids_new
-            top_scores[ua] = sc_new
-            kth[ua] = sc_new[:, -1]
+            cand = may_reach(ub, kth[:, None])
+            if cand.mean() >= _DENSE_FALLBACK_FRAC:
+                return users[active] @ self.sorted_items[start:stop].T
+            scores = np.full(cand.shape, -np.inf)
+            rows, cols = np.nonzero(cand)
+            scores[rows, cols] = np.einsum(
+                "ij,ij->i", users[active[rows]], self.sorted_items[start + cols]
+            )
+            return scores
 
-        ids, scores = canonical_topk(top_ids, top_scores)
+        ids, scores, _ = bound_walk(
+            users,
+            self.model.items,
+            self.order,
+            self.norms,
+            k,
+            head=self.sorted_items,
+            prefix=self.bucket_size,
+            chunk=self.bucket_size,
+            # With h = f the partial dot is the full score: nothing to screen.
+            screen=screen if self.h < self.model.f else None,
+        )
         return TopK(ids=ids, scores=scores)

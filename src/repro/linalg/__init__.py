@@ -1,7 +1,6 @@
-"""Linear-algebra substrate: norms, angles, canonical top-K, blocked GEMM."""
+"""Linear-algebra substrate: norms, angles, top-K selection and the bound walk, blocked GEMM."""
 from repro.linalg.kernels import (
     angles_to,
-    canonical_topk,
     row_norms,
     topk_from_scores,
 )
@@ -10,7 +9,6 @@ from repro.linalg.blocked_mm import blocked_mm_topk
 __all__ = [
     "angles_to",
     "blocked_mm_topk",
-    "canonical_topk",
     "row_norms",
     "topk_from_scores",
 ]

@@ -32,11 +32,12 @@ def blocked_mm_topk(
     """Exact top-``k`` item (ids, scores) per user via blocked GEMM.
 
     ``users`` is ``(m, f)``, ``items`` is ``(n, f)``; returns
-    ``(m, min(k, n))`` id and score arrays in canonical order.
+    ``(m, k)`` id and score arrays in canonical order, with ``k`` clamped
+    to ``[0, n]``.
     """
     m = users.shape[0]
     n = items.shape[0]
-    k = min(k, n)
+    k = max(0, min(k, n))
     out_ids = np.empty((m, k), dtype=np.int64)
     out_scores = np.empty((m, k), dtype=np.float64)
     items_t = items.T

@@ -2,9 +2,14 @@
 
 All strategies must agree bit-for-bit on the returned top-K *ids* so the
 exactness tests can compare them directly.  The canonical ordering is
-(score descending, item id ascending); ``canonical_topk`` enforces it.
+(score descending, item id ascending); ``topk_with_ids`` produces it, and
+every strategy's answer comes out of it.  ``bound_walk`` is the
+early-terminating walk over a bound-sorted item list that LEMP and RECDEX
+share.
 """
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -35,18 +40,6 @@ def angles_to(vectors: np.ndarray, center: np.ndarray) -> np.ndarray:
         cos = (vectors @ center) / (vn * cn)
     cos = np.where(vn == 0.0, 1.0, cos)
     return np.arccos(np.clip(cos, -1.0, 1.0))
-
-
-def canonical_topk(ids: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort per-row (ids, scores) pairs by score desc, then id asc.
-
-    ``ids``/``scores`` are ``(m, k)``; returns the same shapes reordered.
-    This is the tie-break every strategy must share for exact comparisons.
-    """
-    # lexsort keys are applied last-key-major: primary -scores, secondary ids.
-    order = np.lexsort((ids, -scores), axis=1)
-    rows = np.arange(ids.shape[0])[:, None]
-    return ids[rows, order], scores[rows, order]
 
 
 def _kth_lower_bound(scores: np.ndarray, k: int) -> np.ndarray:
@@ -139,12 +132,88 @@ def merge_topk(
     Both inputs are ``(m, *)`` with matching row counts; duplicate ids
     between the two sides are not expected (callers pass disjoint item
     ranges).  Ties broken canonically.  When the A side is already full
-    (``k`` or more columns, none of them ``-inf`` placeholders), its row
-    minimum is the selection's bound, so walk merges compute none.
+    (``k`` or more columns), its row minimum is the selection's bound, so
+    walk merges compute none.
     """
     ids = np.concatenate([ids_a, ids_b], axis=1)
     scores = np.concatenate([scores_a, scores_b], axis=1)
     bound = scores_a.min(axis=1) if scores_a.shape[1] >= k else None
-    if bound is not None and bound.min(initial=0.0) == -np.inf:
-        bound = None
     return topk_with_ids(ids, scores, k, bound=bound)
+
+
+def may_reach(upper: np.ndarray, kth: np.ndarray) -> np.ndarray:
+    """Where an upper bound ``upper`` on a score may still tie or beat ``kth``.
+
+    The bounds are products and sums of rounded values: √18·√18 rounds to
+    17.999999999999996, below a tie at 18.  A tied item with a smaller id
+    belongs in the canonical top-K, so the test allows a relative slack
+    that absorbs such rounding; pruning stays conservative.
+    """
+    return upper >= kth - 1e-9 * (np.abs(upper) + np.abs(kth))
+
+
+def bound_walk(
+    users: np.ndarray,
+    items: np.ndarray,
+    order: np.ndarray,
+    bounds: np.ndarray,
+    k: int,
+    *,
+    head: np.ndarray,
+    prefix: int,
+    chunk: int,
+    screen: Callable[[np.ndarray, int, int, np.ndarray], np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Exact canonical top-``k`` of ``users`` over a bound-sorted item list.
+
+    The list is ``order`` (item ids) with ``bounds`` descending: for every
+    user ``u`` and list position ``p``, ``‖u‖·bounds[p]`` bounds the score
+    of each item from ``p`` on.  ``items`` is the item matrix by id;
+    ``head`` holds the rows ``items[order[:len(head)]]``, copied by the
+    caller so the common case reads contiguous rows.
+
+    The first ``max(prefix, k)`` items are scored for every user with one
+    GEMM (the shared prefix), so each user's top-K is full before any
+    pruning.  The rest is walked in chunks of ``chunk`` items: a user stays
+    active while ``‖u‖·bounds[pos]`` may reach its kth score, and each
+    chunk is merged into the active users' top-K.  ``screen(active, start,
+    stop, kth)``, when given, replaces the chunk's dense GEMM: it returns
+    the active users' scores for list positions ``[start, stop)``, where an
+    entry may be ``-inf`` if its item cannot reach that user's ``kth``.
+    A zero-norm user scores 0 everywhere and its bound 0 reaches its kth
+    of 0, so it walks the whole list, as the canonical tie-break needs.
+
+    Returns the ids, the scores and the number of (user, item) pairs
+    visited.  ``k`` is clamped to ``[0, n]``.
+    """
+    m, n = users.shape[0], len(order)
+    k = max(0, min(k, n))
+    if k == 0:
+        return np.empty((m, 0), np.int64), np.empty((m, 0)), 0
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        if stop <= len(head):
+            return head[start:stop]
+        return items.take(order[start:stop], axis=0)
+
+    pos = min(max(prefix, k), n)
+    top_ids, top_scores = topk_with_ids(order[:pos], users @ rows(0, pos).T, k)
+    visited = m * pos
+    u_norms = row_norms(users)
+    active = np.arange(m)
+    while pos < n:
+        active = active[may_reach(u_norms[active] * bounds[pos], top_scores[active, -1])]
+        if active.size == 0:
+            break
+        stop = min(pos + chunk, n)
+        if screen is None:
+            scores = users[active] @ rows(pos, stop).T
+        else:
+            scores = screen(active, pos, stop, top_scores[active, -1])
+        chunk_ids = np.broadcast_to(order[pos:stop], scores.shape)
+        top_ids[active], top_scores[active] = merge_topk(
+            top_ids[active], top_scores[active], chunk_ids, scores, k
+        )
+        visited += active.size * (stop - pos)
+        pos = stop
+    return top_ids, top_scores, visited

@@ -1,8 +1,9 @@
-"""MFModel ⇄ Spark DataFrame conversion.
+"""MFModel → Spark DataFrame conversion.
 
-Factor matrices travel as ``(id, features array<double>)`` DataFrames —
-the layout the serving operators consume.  Conversions go through pandas
-with Arrow enabled (the session fixture turns it on).
+User factors travel as an ``(id, features array<double>)`` DataFrame — the
+layout the serving operators consume; items reach them by broadcast.  The
+conversion goes through pandas with Arrow enabled (the session fixture
+turns it on).
 """
 from __future__ import annotations
 
@@ -21,44 +22,14 @@ VECTOR_SCHEMA = T.StructType(
 )
 
 
-def _matrix_to_df(spark: SparkSession, mat: np.ndarray, n_partitions: int | None) -> DataFrame:
+def model_to_user_df(
+    spark: SparkSession, model: MFModel, *, n_partitions: int | None = None
+) -> DataFrame:
+    """User factor matrix as a ``(id, features)`` DataFrame."""
     pdf = pd.DataFrame(
-        {"id": np.arange(mat.shape[0], dtype=np.int64), "features": list(mat)}
+        {"id": np.arange(model.m, dtype=np.int64), "features": list(model.users)}
     )
     df = spark.createDataFrame(pdf, schema=VECTOR_SCHEMA)
     if n_partitions is not None:
         df = df.repartition(n_partitions)
     return df
-
-
-def model_to_user_df(
-    spark: SparkSession, model: MFModel, *, n_partitions: int | None = None
-) -> DataFrame:
-    """User factor matrix as a ``(id, features)`` DataFrame."""
-    return _matrix_to_df(spark, model.users, n_partitions)
-
-
-def model_to_item_df(
-    spark: SparkSession, model: MFModel, *, n_partitions: int | None = None
-) -> DataFrame:
-    """Item factor matrix as a ``(id, features)`` DataFrame."""
-    return _matrix_to_df(spark, model.items, n_partitions)
-
-
-def df_to_matrix(df: DataFrame) -> np.ndarray:
-    """Collect a ``(id, features)`` DataFrame back into a dense matrix.
-
-    Rows are placed at their ``id`` position, so the result is invariant
-    to partitioning/ordering.
-    """
-    pdf = df.toPandas()
-    n = int(pdf["id"].max()) + 1 if len(pdf) else 0
-    f = len(pdf["features"].iloc[0]) if len(pdf) else 0
-    out = np.zeros((n, f))
-    out[pdf["id"].to_numpy()] = np.stack(pdf["features"].to_numpy())
-    return out
-
-
-def model_from_dfs(users_df: DataFrame, items_df: DataFrame, *, name: str = "from-dfs") -> MFModel:
-    """Rebuild an MFModel from user/item DataFrames (for round-trip tests)."""
-    return MFModel(name=name, users=df_to_matrix(users_df), items=df_to_matrix(items_df))

@@ -6,7 +6,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.linalg.kernels import (
     angles_to,
-    canonical_topk,
     merge_topk,
     row_norms,
     topk_from_scores,
@@ -62,29 +61,6 @@ def test_angles_to_zero_vector_treated_aligned():
 def test_angles_to_zero_center():
     th = angles_to(np.ones((3, 2)), np.zeros(2))
     np.testing.assert_array_equal(th, 0.0)
-
-
-def test_canonical_topk_orders_by_score_desc():
-    ids = np.array([[3, 1, 2]])
-    scores = np.array([[1.0, 3.0, 2.0]])
-    i2, s2 = canonical_topk(ids, scores)
-    np.testing.assert_array_equal(i2, [[1, 2, 3]])
-    np.testing.assert_array_equal(s2, [[3.0, 2.0, 1.0]])
-
-
-def test_canonical_topk_tie_breaks_by_id_asc():
-    ids = np.array([[9, 4, 7]])
-    scores = np.array([[5.0, 5.0, 5.0]])
-    i2, _ = canonical_topk(ids, scores)
-    np.testing.assert_array_equal(i2, [[4, 7, 9]])
-
-
-def test_canonical_topk_multi_row_independent():
-    ids = np.array([[0, 1], [1, 0]])
-    scores = np.array([[1.0, 2.0], [1.0, 2.0]])
-    i2, s2 = canonical_topk(ids, scores)
-    np.testing.assert_array_equal(i2, [[1, 0], [0, 1]])
-    np.testing.assert_array_equal(s2, [[2.0, 1.0], [2.0, 1.0]])
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 11])
@@ -189,8 +165,9 @@ def test_topk_from_scores_matches_full_lexsort(case):
 @settings(max_examples=300, deadline=None)
 @given(case=_select_case(), split=st.floats(0.0, 1.0), placeholders=st.booleans())
 def test_merge_topk_matches_full_lexsort(case, split, placeholders):
-    """A side: LEMP's negative-id ``-inf`` placeholders, or the exact top-k
-    of a prefix (RECDEX's walk); B side: the remaining columns."""
+    """A side: ``k`` columns of ``-inf`` with negative ids, whose row minimum
+    admits every column as a candidate, or the exact top-k of a prefix (the
+    bound walk's merges); B side: the remaining columns."""
     ids, scores, k = case
     m, n = scores.shape
     ids2d = np.broadcast_to(ids, scores.shape)

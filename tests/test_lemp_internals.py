@@ -1,9 +1,10 @@
-"""White-box tests for LEMP-lite's bucket structure and pruning."""
+"""White-box tests for LEMP-lite's norm-sorted list, its buckets and pruning."""
 import numpy as np
 import pytest
 
+import repro.indexes.lemp as lemp_mod
 from repro.indexes.lemp import LempIndex
-from repro.linalg.kernels import row_norms
+from repro.linalg.kernels import bound_walk, row_norms
 from repro.mf.models import tiny_model
 
 
@@ -15,35 +16,45 @@ def built():
     return model, idx
 
 
-def test_bucket_count(built):
+def test_bucket_count(built, monkeypatch):
+    """The norm-sorted list is walked in buckets of ``bucket_size`` items."""
     model, idx = built
-    assert len(idx.buckets) == int(np.ceil(model.n / 10))
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return bound_walk(*args, **kwargs)
+
+    monkeypatch.setattr(lemp_mod, "bound_walk", spy)
+    idx.query_all(3)
+    assert [(c["prefix"], c["chunk"]) for c in calls] == [(10, 10)]
+    assert len(range(0, model.n, calls[0]["chunk"])) == int(np.ceil(model.n / 10))
 
 
 def test_buckets_cover_all_items(built):
     model, idx = built
-    all_ids = np.concatenate([b.ids for b in idx.buckets])
-    assert sorted(all_ids.tolist()) == list(range(model.n))
+    assert sorted(idx.order.tolist()) == list(range(model.n))
+    np.testing.assert_array_equal(idx.sorted_items, model.items[idx.order])
 
 
 def test_bucket_max_norms_descending(built):
     _, idx = built
-    max_norms = [b.max_norm for b in idx.buckets]
-    assert all(a >= b - 1e-12 for a, b in zip(max_norms, max_norms[1:]))
+    assert np.all(np.diff(idx.norms) <= 0)
 
 
 def test_items_within_bucket_have_norm_leq_max(built):
     model, idx = built
-    for b in idx.buckets:
-        assert row_norms(b.mat).max() <= b.max_norm + 1e-12
+    np.testing.assert_allclose(row_norms(idx.sorted_items), idx.norms)
+    for start in range(0, model.n, 10):
+        assert row_norms(idx.sorted_items[start : start + 10]).max() <= idx.norms[start] + 1e-12
 
 
 def test_incremental_split_dims(built):
     model, idx = built
-    for b in idx.buckets:
-        assert b.partial.shape[1] == idx.h
-        assert b.res_norms.shape == (len(b.ids),)
-        np.testing.assert_allclose(b.res_norms, row_norms(b.mat[:, idx.h:]))
+    assert idx.partial.shape == (model.n, idx.h)
+    np.testing.assert_array_equal(idx.partial, idx.sorted_items[:, : idx.h])
+    assert idx.res_norms.shape == (model.n,)
+    np.testing.assert_allclose(idx.res_norms, row_norms(idx.sorted_items[:, idx.h :]))
 
 
 def test_incr_dims_override():

@@ -1,19 +1,22 @@
-"""Round-trip tests for MFModel ⇄ DataFrame conversion."""
+"""Round-trip tests for MFModel → DataFrame conversion."""
 import numpy as np
 import pytest
 
 from repro.mf.models import tiny_model
-from repro.spark_ops.frames import (
-    df_to_matrix,
-    model_from_dfs,
-    model_to_item_df,
-    model_to_user_df,
-)
+from repro.spark_ops.frames import model_to_user_df
 
 
 @pytest.fixture(scope="module")
 def model():
     return tiny_model(m=25, n=15, f=5, seed=0)
+
+
+def _collect_by_id(df) -> np.ndarray:
+    """Rows of a ``(id, features)`` DataFrame placed at their ``id``."""
+    pdf = df.toPandas()
+    out = np.full((len(pdf), len(pdf["features"].iloc[0])), np.nan)
+    out[pdf["id"].to_numpy()] = np.stack(pdf["features"].to_numpy())
+    return out
 
 
 def test_user_df_schema(spark, model):
@@ -22,26 +25,12 @@ def test_user_df_schema(spark, model):
     assert df.count() == model.m
 
 
-def test_item_df_schema(spark, model):
-    df = model_to_item_df(spark, model)
-    assert df.count() == model.n
-
-
 def test_round_trip_users(spark, model):
     df = model_to_user_df(spark, model)
-    np.testing.assert_allclose(df_to_matrix(df), model.users)
+    np.testing.assert_allclose(_collect_by_id(df), model.users)
 
 
 def test_round_trip_survives_repartition(spark, model):
     df = model_to_user_df(spark, model, n_partitions=7)
     assert df.rdd.getNumPartitions() == 7
-    np.testing.assert_allclose(df_to_matrix(df), model.users)
-
-
-def test_model_from_dfs(spark, model):
-    u = model_to_user_df(spark, model)
-    i = model_to_item_df(spark, model)
-    back = model_from_dfs(u, i)
-    np.testing.assert_allclose(back.users, model.users)
-    np.testing.assert_allclose(back.items, model.items)
-    assert (back.m, back.n, back.f) == (model.m, model.n, model.f)
+    np.testing.assert_allclose(_collect_by_id(df), model.users)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.recdex import RecdexIndex
+from repro.core.recopt import Recopt
 from repro.indexes.brute_force import BlockedMM
 from repro.indexes.fexipro import FexiproIndex
 from repro.indexes.lemp import LempIndex
@@ -41,9 +42,11 @@ def int_model(*, m=12, n=15, f=4, lo=-4, hi=5, seed=0) -> MFModel:
 
 def _strict_same(model, strategy, k):
     ref = BlockedMM(model).query_all(k)
-    got = strategy(model).query_all(k)
+    strat = strategy(model)
+    got = strat.query_all(k)
     np.testing.assert_array_equal(got.ids, ref.ids)
     np.testing.assert_array_equal(got.scores, ref.scores)
+    return strat
 
 
 # --- tolerance-aware validity on float models -----------------------------
@@ -138,3 +141,39 @@ def test_strict_zero_norm_user_ties(name):
     model = int_model(m=6, n=9, f=3, seed=12)
     model.users[2] = 0.0
     _strict_same(model, STRATEGIES[name], 3)
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+@pytest.mark.parametrize("seed,f", [(3, 4), (5, 3), (15, 2)])
+@pytest.mark.parametrize("k", [1, 4, 12])
+def test_strict_when_pruning_meets_rounded_ties(name, seed, f, k):
+    """Bounds that round just below an exact tie must not prune it.
+
+    n = 120 is well past LEMP's bucket and RECDEX's block, so the walks
+    prune.  With values in -3..3 many scores tie exactly, and a bound such
+    as √18·√18 rounds to 17.999999999999996, just below a kth score of 18:
+    a tied item with a smaller id must still be visited.
+    """
+    model = int_model(m=40, n=120, f=f, lo=-3, hi=4, seed=seed)
+    model.users[0] = 0.0
+    strat = _strict_same(model, STRATEGIES[name], k)
+    if isinstance(strat, RecdexIndex):
+        assert strat.items_visited < model.m * model.n
+
+
+# --- k outside [1, n] --------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+@pytest.mark.parametrize("k", [0, -1])
+def test_nonpositive_k_returns_empty_answer(name, k):
+    model = tiny_model(m=10, n=14, f=4, seed=13)
+    res = STRATEGIES[name](model).query(np.array([1, 4, 4]), k)
+    assert res.ids.shape == res.scores.shape == (3, 0)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_recopt_nonpositive_k_returns_empty_answer(k):
+    model = tiny_model(m=10, n=14, f=4, seed=13)
+    factories = {name: f for name, f in STRATEGIES.items() if name != "mm"}
+    res, _ = Recopt(model, factories, k=k, min_sample=4).run()
+    assert res.ids.shape == res.scores.shape == (model.m, 0)
