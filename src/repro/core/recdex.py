@@ -19,10 +19,18 @@ which LEMP-lite also takes over its norm-sorted list.
 
 Hardware-efficient execution (Section 5.4): the first ``B`` items of each
 walk are shared across all of the cluster's users as one blocked matrix
-multiply (paper default B=4096); the remainder is walked in smaller
-vectorized chunks with per-chunk deactivation.  ``shared=False`` is the
-lesion variant (per-user walk, no cross-user work sharing) used by the
-Fig. 8 blocking lesion study.
+multiply (paper default B=4096); the remainder is walked in vectorized
+chunks with per-chunk deactivation, starting at ``walk_chunk`` items and
+doubling while no user stops, so a cluster whose users prune nothing (an
+MM-friendly model, which RECOPT still samples) takes a few merges.
+``shared=False`` is the lesion variant (per-user walk, no cross-user work
+sharing) used by the Fig. 8 blocking lesion study.
+
+Build cost is part of what RECOPT pays for every candidate, so it is kept
+to whole-array work: ``kmeans`` is GEMM-based, and each cluster's bounds
+are ordered by NumPy's default (SIMD) ``argsort``.  That sort is not
+stable, so items with tied bounds may be walked in either order; answers
+do not depend on it, since every select is canonical.
 """
 from __future__ import annotations
 
@@ -133,7 +141,7 @@ class RecdexIndex(Strategy):
             bounds = cbound(theta_ic, item_norms, theta_b)
             theta_time += time.perf_counter() - ts
             ts = time.perf_counter()
-            order = np.argsort(-bounds, kind="stable")
+            order = np.argsort(-bounds)
             sort_time += time.perf_counter() - ts
             prefix_len = min(max(self.block, self.walk_chunk), model.n)
             clusters.append(

@@ -26,12 +26,12 @@ def breakdown(
 ) -> pd.DataFrame:
     """One row per model: stage times, lesion serve time, sharing speedup.
 
-    ``lesion_chunk`` is the per-user traversal granularity of the
+    ``lesion_chunk`` is the first per-user traversal chunk of the
     unshared variant.  The paper's lesion walks item-at-a-time per user;
     a NumPy loop at granularity 1 would measure pure interpreter overhead,
-    so the lesion walks small per-user chunks instead — still far more
-    vectorized than the paper's per-item walk, i.e. generous to the
-    lesion.
+    so the lesion walks per-user chunks instead, which ``bound_walk``
+    doubles while the user has not stopped — far more vectorized than the
+    paper's per-item walk, i.e. generous to the lesion.
     """
     rows = []
     for model in models:

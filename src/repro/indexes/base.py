@@ -45,6 +45,16 @@ class Strategy(ABC):
     batching: bool = True
 
     def __init__(self, model: MFModel):
+        """Take ``model``; raise ``ValueError`` if a factor matrix is not finite.
+
+        A NaN or infinite factor can make scores NaN, which have no place
+        in the canonical (score desc, id asc) order, so there is no exact
+        answer to return.  Checked once here, so every strategy, and RECOPT
+        through them, rejects such a model with the same error.
+        """
+        for name in ("users", "items"):
+            if not np.isfinite(getattr(model, name)).all():
+                raise ValueError(f"model.{name} holds NaN or infinite values")
         self.model = model
         self.built = False
 

@@ -174,12 +174,17 @@ def bound_walk(
 
     The first ``max(prefix, k)`` items are scored for every user with one
     GEMM (the shared prefix), so each user's top-K is full before any
-    pruning.  The rest is walked in chunks of ``chunk`` items: a user stays
-    active while ``‖u‖·bounds[pos]`` may reach its kth score, and each
-    chunk is merged into the active users' top-K.  ``screen(active, start,
-    stop, kth)``, when given, replaces the chunk's dense GEMM: it returns
-    the active users' scores for list positions ``[start, stop)``, where an
-    entry may be ``-inf`` if its item cannot reach that user's ``kth``.
+    pruning.  The rest is walked in chunks, starting at ``chunk`` items: a
+    user stays active while ``‖u‖·bounds[pos]`` may reach its kth score,
+    and each chunk is merged into the active users' top-K.  When no user
+    left the walk at a check, the next chunk is twice the last one, so a
+    list that prunes nothing costs a few merges, not one per ``chunk``
+    items.  ``screen(active, start, stop, kth)``, when given, replaces the
+    chunk's dense GEMM: it returns the active users' scores for list
+    positions ``[start, stop)``, where an entry may be ``-inf`` if its item
+    cannot reach that user's ``kth``.  A screened walk keeps ``chunk``
+    fixed: its cost (LEMP's sparse gather copies a row per surviving pair)
+    grows with the chunk, and doubling it multiplied LEMP's peak memory.
     A zero-norm user scores 0 everywhere and its bound 0 reaches its kth
     of 0, so it walks the whole list, as the canonical tie-break needs.
 
@@ -201,11 +206,15 @@ def bound_walk(
     visited = m * pos
     u_norms = row_norms(users)
     active = np.arange(m)
+    step = chunk
     while pos < n:
-        active = active[may_reach(u_norms[active] * bounds[pos], top_scores[active, -1])]
+        keep = may_reach(u_norms[active] * bounds[pos], top_scores[active, -1])
+        if screen is None and keep.all():
+            step *= 2
+        active = active[keep]
         if active.size == 0:
             break
-        stop = min(pos + chunk, n)
+        stop = min(pos + step, n)
         if screen is None:
             scores = users[active] @ rows(pos, stop).T
         else:

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import repro.linalg.kernels as kernels
 from repro.linalg.kernels import (
     angles_to,
+    bound_walk,
     merge_topk,
     row_norms,
     topk_from_scores,
@@ -184,3 +186,100 @@ def test_merge_topk_matches_full_lexsort(case, split, placeholders):
     all_ids = np.concatenate([ids_a, ids_b], axis=1)
     all_sc = np.concatenate([sc_a, sc_b], axis=1)
     _assert_bitwise(got, _reference_topk(all_ids, all_sc, k))
+
+
+# --- bound_walk against a full-lexsort reference ----------------------------
+
+def _exact_screen(users, items, order):
+    """A valid ``screen``: exact scores, ``-inf`` where an item is below ``kth``."""
+
+    def screen(active, start, stop, kth):
+        scores = users[active] @ items[order[start:stop]].T
+        return np.where(scores >= kth[:, None], scores, -np.inf)
+
+    return screen
+
+
+@st.composite
+def _walk_case(draw):
+    """Small-integer users and items (exact float64 scores, many ties) and
+    the walk's knobs.  Bounds are the item norms in norm order, or, when
+    ``loose``, the largest norm everywhere, which allows no stop."""
+    m = draw(st.integers(0, 6))
+    n = draw(st.integers(1, 60))
+    f = draw(st.integers(1, 4))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    users = g.integers(-3, 4, size=(m, f)).astype(np.float64)
+    items = g.integers(-3, 4, size=(n, f)).astype(np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", items, items))
+    order = np.argsort(-norms, kind="stable")
+    loose = draw(st.booleans())
+    bounds = np.full(n, norms.max()) if loose else norms[order]
+    return dict(
+        users=users,
+        items=items,
+        order=order,
+        bounds=bounds,
+        k=draw(st.integers(0, n + 2)),
+        head=items[order[: draw(st.integers(0, n))]],
+        prefix=draw(st.integers(0, n + 2)),
+        chunk=draw(st.integers(1, n + 2)),
+        screened=draw(st.booleans()),
+        loose=loose,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_walk_case())
+def test_bound_walk_matches_full_lexsort(case):
+    users, items, order, k = case["users"], case["items"], case["order"], case["k"]
+    m, n = len(users), len(items)
+    screen = _exact_screen(users, items, order) if case["screened"] else None
+    ids, scores, visited = bound_walk(
+        users, items, order, case["bounds"], k,
+        head=case["head"], prefix=case["prefix"], chunk=case["chunk"], screen=screen,
+    )
+    all_scores = users @ items.T
+    _assert_bitwise((ids, scores), _reference_topk(np.broadcast_to(np.arange(n), all_scores.shape), all_scores, k))
+    if min(k, n) <= 0:
+        assert visited == 0
+    else:
+        assert m * min(max(case["prefix"], k), n) <= visited <= m * n
+        if case["loose"]:
+            assert visited == m * n
+
+
+def test_screened_walk_keeps_its_chunk_size():
+    """LEMP's sparse gathers scale with the chunk, so screened chunks stay fixed."""
+    g = np.random.default_rng(0)
+    users, items = g.normal(size=(5, 3)), g.normal(size=(100, 3))
+    order = np.arange(100)
+    spans = []
+    inner = _exact_screen(users, items, order)
+
+    def screen(active, start, stop, kth):
+        spans.append((start, stop))
+        return inner(active, start, stop, kth)
+
+    # The largest norm everywhere is a valid bound that allows no stop.
+    bounds = np.full(100, row_norms(items).max())
+    bound_walk(users, items, order, bounds, 3, head=items[:0], prefix=10, chunk=7, screen=screen)
+    assert [start for start, _ in spans] == list(range(10, 100, 7))
+    assert all(stop - start == 7 for start, stop in spans[:-1])
+    assert spans[-1][1] == 100
+
+
+def test_unscreened_walk_doubles_chunks_while_no_user_stops(monkeypatch):
+    g = np.random.default_rng(1)
+    users, items = g.normal(size=(5, 3)), g.normal(size=(100, 3))
+    widths = []
+    merge = kernels.merge_topk
+
+    def spy(ids_a, scores_a, ids_b, scores_b, k):
+        widths.append(ids_b.shape[1])
+        return merge(ids_a, scores_a, ids_b, scores_b, k)
+
+    monkeypatch.setattr(kernels, "merge_topk", spy)
+    bounds = np.full(100, row_norms(items).max())
+    bound_walk(users, items, np.arange(100), bounds, 3, head=items[:0], prefix=10, chunk=7)
+    assert widths == [14, 28, 48]

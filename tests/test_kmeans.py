@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from repro.core.kmeans import kmeans
+from repro.core.recdex import DEFAULT_CLUSTERS, KMEANS_ITERS
+from repro.experiments.grid import reference_grid
 
 
 def test_labels_and_centers_shapes():
@@ -77,3 +79,87 @@ def test_inertia_not_worse_than_random_centers(k):
     d2 = ((x[:, None, :] - rand_centers[None, :, :]) ** 2).sum(-1)
     rand_inertia = d2.min(axis=1).sum()
     assert inertia <= rand_inertia + 1e-9
+
+
+# --- equivalence with the per-cluster-mean Lloyd loop -----------------------
+
+def _reference_kmeans(x, k, *, n_iters=25, seed=0, tol=1e-7):
+    """Per-cluster Lloyd's k-means, one boolean-mask mean per cluster.
+
+    ``kmeans`` computes the same clustering with whole-array steps; this
+    loop is the reference it must agree with.  Also returns the iterations
+    at which an empty cluster was re-seeded.
+    """
+    n = len(x)
+    k = min(k, n)
+    g = np.random.default_rng(seed)
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[g.integers(n)]
+    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[j:] = x[g.integers(n, size=k - j)]
+            break
+        centers[j] = x[g.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, np.sum((x - centers[j]) ** 2, axis=1))
+    x_sq = np.sum(x**2, axis=1)
+    reseeded = []
+    for it in range(n_iters):
+        d2 = x_sq[:, None] - 2.0 * (x @ centers.T) + np.sum(centers**2, axis=1)
+        labels = np.argmin(d2, axis=1)
+        new_centers = centers.copy()
+        shift = 0.0
+        for j in range(k):
+            members = x[labels == j]
+            if len(members) == 0:
+                new_centers[j] = x[int(np.argmax(np.min(d2, axis=1)))]
+                reseeded.append(it)
+            else:
+                new_centers[j] = members.mean(axis=0)
+            shift = max(shift, float(np.sum((new_centers[j] - centers[j]) ** 2)))
+        centers = new_centers
+        if shift < tol:
+            break
+    d2 = x_sq[:, None] - 2.0 * (x @ centers.T) + np.sum(centers**2, axis=1)
+    return np.argmin(d2, axis=1), centers, reseeded
+
+
+def _assert_same_clustering(x, k, **kw):
+    want_labels, want_centers, reseeded = _reference_kmeans(x, k, **kw)
+    labels, centers = kmeans(x, k, **kw)
+    np.testing.assert_array_equal(labels, want_labels)
+    # ``kmeans`` sums each cluster with a GEMM, so only rounding may differ.
+    np.testing.assert_allclose(centers, want_centers, rtol=0, atol=1e-12)
+    return reseeded
+
+
+@pytest.mark.parametrize(
+    "shape,k,seed",
+    [((100, 4), 5, 0), ((300, 16), 8, 1), ((57, 3), 7, 2), ((500, 32), 8, 3), ((40, 2), 1, 4)],
+)
+def test_matches_reference_lloyd(shape, k, seed):
+    x = np.random.default_rng(seed).normal(size=shape)
+    _assert_same_clustering(x, k, seed=seed)
+
+
+def test_matches_reference_on_tied_distances():
+    # Two distinct points and four clusters: duplicate centers tie exactly,
+    # the lowest cluster index must win, and the others are re-seeded.
+    x = np.repeat(np.eye(2), 5, axis=0)
+    _assert_same_clustering(x, 4, seed=0)
+    x = np.random.default_rng(5).integers(-2, 3, size=(40, 2)).astype(np.float64)
+    _assert_same_clustering(x, 6, seed=5)
+
+
+def test_matches_reference_when_a_cluster_empties_mid_run():
+    # Found by search: cluster 3 loses every member after the first update.
+    x = np.random.default_rng(9201).normal(size=(10, 2))
+    reseeded = _assert_same_clustering(x, 5, seed=9201)
+    assert reseeded and min(reseeded) >= 1
+
+
+@pytest.mark.parametrize("name", ["netflix-f16-lo", "glove-f32-hi"])
+def test_matches_reference_on_grid_models(name):
+    model = next(m for m in reference_grid(scale=0.1) if m.name == name)
+    _assert_same_clustering(model.users, DEFAULT_CLUSTERS, n_iters=KMEANS_ITERS, seed=0)

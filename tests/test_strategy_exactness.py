@@ -177,3 +177,33 @@ def test_recopt_nonpositive_k_returns_empty_answer(k):
     factories = {name: f for name, f in STRATEGIES.items() if name != "mm"}
     res, _ = Recopt(model, factories, k=k, min_sample=4).run()
     assert res.ids.shape == res.scores.shape == (model.m, 0)
+
+
+# --- non-finite factors ------------------------------------------------------
+
+_NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+def _non_finite_model(matrix, value):
+    model = tiny_model(m=10, n=14, f=4, seed=13)
+    getattr(model, matrix)[3, 1] = value
+    return model
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+@pytest.mark.parametrize("matrix", ["users", "items"])
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_non_finite_model_rejected(name, matrix, value):
+    """Every strategy raises the same error, naming the matrix."""
+    model = _non_finite_model(matrix, value)
+    with pytest.raises(ValueError, match=f"model.{matrix} holds NaN or infinite"):
+        STRATEGIES[name](model).query_all(3)
+
+
+@pytest.mark.parametrize("matrix", ["users", "items"])
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_recopt_non_finite_model_rejected(matrix, value):
+    model = _non_finite_model(matrix, value)
+    factories = {name: f for name, f in STRATEGIES.items() if name != "mm"}
+    with pytest.raises(ValueError, match=f"model.{matrix} holds NaN or infinite"):
+        Recopt(model, factories, k=3, min_sample=4).run()
